@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check build test race bench bench-smoke bench-serve-smoke bench-json bench-parallel bench-stream serve-smoke chaos-smoke fmt fmt-check vet lint
+.PHONY: check build test race bench bench-smoke bench-serve-smoke bench-json bench-parallel bench-stream serve-smoke chaos-smoke perfbench-check fmt fmt-check vet lint
 
 # check is the full verification gate: formatting, vet, lint (staticcheck +
 # the vetvideoapp invariant suite), build, race-enabled tests, a
 # one-iteration compile-and-run pass over every benchmark so the perf
-# harness cannot rot, and end-to-end smokes of the chunk server (clean and
-# under injected faults). Tests run shuffled so inter-test ordering
-# dependencies cannot hide.
-check: fmt-check vet lint build race bench-smoke bench-serve-smoke serve-smoke chaos-smoke
+# harness cannot rot, end-to-end smokes of the chunk server (clean and
+# under injected faults), and vet, lint and tests of the nested perfbench
+# module. Tests run shuffled so inter-test ordering dependencies cannot
+# hide.
+check: fmt-check vet lint build race bench-smoke bench-serve-smoke serve-smoke chaos-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -55,14 +56,16 @@ bench-stream:
 	$(GO) test -run='^$$' -bench=BenchmarkStreamMemory -benchtime=1x .
 
 # bench runs the measured hot-kernel benchmarks (SAD/motion search, error
-# injection, clone/pooling, arithmetic coder) plus the pipeline-level
+# injection, clone/pooling, arithmetic coder, the decode-side reconstruct
+# and full QCIF decode) plus the pipeline-level
 # parallel benches, with allocation reporting. Compare two runs with
 # scripts/benchcmp.sh old.txt new.txt (results/kernel_bench.md holds the
 # committed before/after of the optimization pass).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkSAD|BenchmarkSADEdge|BenchmarkMotionSearch' -benchmem ./internal/predict
 	$(GO) test -run='^$$' -bench='BenchmarkInject' -benchmem ./internal/store
-	$(GO) test -run='^$$' -bench='BenchmarkClone' -benchmem ./internal/codec
+	$(GO) test -run='^$$' -bench='BenchmarkClone|BenchmarkDecodeQCIF' -benchmem ./internal/codec
+	$(GO) test -run='^$$' -bench='BenchmarkReconstruct' -benchmem ./internal/transform
 	$(GO) test -run='^$$' -bench='BenchmarkArith' -benchmem ./internal/entropy
 	$(GO) test -run='^$$' -bench='BenchmarkFlipIID' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench='BenchmarkServeChunk' -benchmem ./internal/serve
@@ -95,8 +98,14 @@ bench-serve-smoke:
 bench-json:
 	./scripts/bench_json.sh
 
+# perfbench-check vets, lints and tests the repository benchmark in
+# perfbench/. It is its own Go module, so the root `go test ./...` and
+# `make lint` never reach it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) run ../cmd/vetvideoapp ./... && $(GO) test ./...
+
 # bench-smoke compiles and runs every benchmark in the repo exactly once —
 # a regression gate for the perf harness itself, cheap enough for check/CI.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/store ./internal/codec ./internal/entropy ./internal/sim ./internal/serve
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/predict ./internal/store ./internal/codec ./internal/transform ./internal/entropy ./internal/sim ./internal/serve
 	$(GO) test -run='^$$' -bench='BenchmarkParallel|BenchmarkPipeline' -benchtime=1x .

@@ -238,17 +238,79 @@ func unmarshalHeader(buf []byte, f *EncodedFrame) (payloadLen int, err error) {
 // chromaInterPredict fills the 8×8 chroma predictions for a macroblock from
 // ref using the partition vectors scaled down by mvDiv: 2 for full-pel
 // vectors, 4 for half-pel vectors (4:2:0 chroma is half luma resolution).
+// The division truncates toward zero. A displaced partition that lies inside
+// the chroma planes is copied row by row; the clamped loop covers the edges.
 func chromaInterPredict(dstCb, dstCr []uint8, ref *frame.Frame, mbx, mby int, rects []predict.Rect, mvs []predict.MV, mvDiv int) {
 	cx0, cy0 := mbx*8, mby*8
+	cw, ch := ref.W/2, ref.H/2
 	for i, r := range rects {
-		mv := mvs[i]
-		for y := r.Y / 2; y < (r.Y+r.H)/2; y++ {
-			for x := r.X / 2; x < (r.X+r.W)/2; x++ {
-				cb, cr := ref.ChromaAt(cx0+x+int(mv.X)/mvDiv, cy0+y+int(mv.Y)/mvDiv)
+		dx, dy := int(mvs[i].X)/mvDiv, int(mvs[i].Y)/mvDiv
+		x0, y0, w, h := r.X/2, r.Y/2, r.W/2, r.H/2
+		sx, sy := cx0+x0+dx, cy0+y0+dy
+		if sx >= 0 && sy >= 0 && sx+w <= cw && sy+h <= ch {
+			for y := 0; y < h; y++ {
+				d, o := (y0+y)*8+x0, (sy+y)*cw+sx
+				copy(dstCb[d:d+w], ref.Cb[o:o+w])
+				copy(dstCr[d:d+w], ref.Cr[o:o+w])
+			}
+			continue
+		}
+		for y := y0; y < y0+h; y++ {
+			for x := x0; x < x0+w; x++ {
+				cb, cr := ref.ChromaAt(cx0+x+dx, cy0+y+dy)
 				dstCb[y*8+x] = cb
 				dstCr[y*8+x] = cr
 			}
 		}
+	}
+}
+
+// reconstructMB writes prediction plus dequantized residual for macroblock
+// (mbx, mby) straight into rec's plane rows: the 16 luma 4×4 blocks, then
+// the Cb and Cr blocks. Encoder and decoder both reconstruct through it, so
+// their pictures match by construction. Frame dimensions are multiples of
+// the macroblock size, so the macroblock always lies inside rec.
+func reconstructMB(rec *frame.Frame, mbx, mby int, predY, predCb, predCr []uint8, levels *[16]transform.Block, chroma *[8]transform.Block, qp int) {
+	w, cw := rec.W, rec.W/2
+	px, py := mbx*frame.MBSize, mby*frame.MBSize
+	for b := range levels {
+		bx, by := b%4*4, b/4*4
+		reconstructBlock(rec.Y[(py+by)*w+px+bx:], w, predY[by*16+bx:], 16, &levels[b], qp)
+	}
+	cx0, cy0 := mbx*8, mby*8
+	for b := 0; b < 4; b++ {
+		bx, by := b%2*4, b/2*4
+		o, p := (cy0+by)*cw+cx0+bx, by*8+bx
+		reconstructBlock(rec.Cb[o:], cw, predCb[p:], 8, &chroma[b], qp)
+		reconstructBlock(rec.Cr[o:], cw, predCr[p:], 8, &chroma[4+b], qp)
+	}
+}
+
+// reconstructBlock writes one 4×4 block of clamp(pred + residual) into dst.
+// Both buffers are row-major with the given strides. An all-zero block
+// reconstructs to the prediction itself, which is copied.
+func reconstructBlock(dst []uint8, dstStride int, pred []uint8, predStride int, z *transform.Block, qp int) {
+	var res transform.Block
+	if !transform.ReconstructInto(&res, z, qp) {
+		for y := 0; y < 4; y++ {
+			*(*[4]uint8)(dst[y*dstStride:]) = *(*[4]uint8)(pred[y*predStride:])
+		}
+		return
+	}
+	for y := 0; y < 4; y++ {
+		d, p := (*[4]uint8)(dst[y*dstStride:]), (*[4]uint8)(pred[y*predStride:])
+		for x := range d {
+			d[x] = frame.ClampU8(int(p[x]) + int(res[y*4+x]))
+		}
+	}
+}
+
+// putBlock copies a row-major w×h block into plane (row stride stride) with
+// its top-left corner at (x, y).
+func putBlock(plane []uint8, stride, x, y, w, h int, src []uint8) {
+	for r := 0; r < h; r++ {
+		o := (y+r)*stride + x
+		copy(plane[o:o+w], src[r*w:(r+1)*w])
 	}
 }
 
@@ -288,26 +350,16 @@ func chromaIntraPredict(dstCb, dstCr []uint8, rec *frame.Frame, mbx, mby int, ha
 // §3 of the paper: the median of the QPs of MBs A (left), B (above) and
 // C (above-right), falling back to the frame base QP.
 func qpPrediction(qps []int, mbx, mby, mbCols, baseQP, sliceTop int) int {
-	get := func(x, y int) (int, bool) {
-		if x < 0 || y < sliceTop || x >= mbCols {
-			return 0, false
+	var vals [3]int
+	n := 0
+	for _, nb := range [3][2]int{{mbx - 1, mby}, {mbx, mby - 1}, {mbx + 1, mby - 1}} {
+		x, y := nb[0], nb[1]
+		if x >= 0 && y >= sliceTop && x < mbCols {
+			vals[n] = qps[y*mbCols+x]
+			n++
 		}
-		return qps[y*mbCols+x], true
 	}
-	a, okA := get(mbx-1, mby)
-	b, okB := get(mbx, mby-1)
-	c, okC := get(mbx+1, mby-1)
-	vals := []int{}
-	if okA {
-		vals = append(vals, a)
-	}
-	if okB {
-		vals = append(vals, b)
-	}
-	if okC {
-		vals = append(vals, c)
-	}
-	switch len(vals) {
+	switch n {
 	case 0:
 		return baseQP
 	case 1:

@@ -76,7 +76,7 @@ func DecodeSingle(v *Video, idx int, recs []*frame.Frame) *frame.Frame {
 }
 
 func decodeSingleOpts(v *Video, idx int, recs []*frame.Frame, opts DecodeOptions) *frame.Frame {
-	fd := &frameDecoder{video: v, ef: v.Frames[idx], recRefs: recs, rec: frame.MustNew(v.W, v.H), opts: opts}
+	fd := &frameDecoder{video: v, ef: v.Frames[idx], recRefs: recs, rec: frame.MustNewPooled(v.W, v.H), opts: opts}
 	fd.run()
 	return fd.rec
 }
@@ -317,9 +317,9 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 	default:
 		shape := mbTypeToShape(mbType)
 		rects := predict.PartitionRects(shape)
-		dirs := make([]int, len(rects))
-		mvF := make([]predict.MV, len(rects))
-		mvB := make([]predict.MV, len(rects))
+		// At most 16 partitions (4×4); fixed arrays keep decode allocation-free.
+		var dirs [16]int
+		var mvF, mvB [16]predict.MV
 		prevMV := predMV
 		for i := range rects {
 			dir := dirFwd
@@ -350,9 +350,9 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 		qp := fd.decodeQP(mx, my, mbIdx)
 
 		px, py := mx*frame.MBSize, my*frame.MBSize
-		var predY [256]uint8
+		var predY, part [256]uint8
 		for i, r := range rects {
-			buf := make([]uint8, r.W*r.H)
+			buf := part[:r.W*r.H]
 			switch dirs[i] {
 			case dirBwd:
 				fd.compensate(buf, refB, px+r.X, py+r.Y, r.W, r.H, mvB[i])
@@ -371,9 +371,9 @@ func (fd *frameDecoder) decodeMB(mx, my int) {
 		}
 		var predCb, predCr [64]uint8
 		if dirs[0] == dirBwd {
-			chromaInterPredict(predCb[:], predCr[:], refB, mx, my, rects, mvB, fd.mvDiv())
+			chromaInterPredict(predCb[:], predCr[:], refB, mx, my, rects, mvB[:], fd.mvDiv())
 		} else {
-			chromaInterPredict(predCb[:], predCr[:], refF, mx, my, rects, mvF, fd.mvDiv())
+			chromaInterPredict(predCb[:], predCr[:], refF, mx, my, rects, mvF[:], fd.mvDiv())
 		}
 		fd.decodeResidualAndReconstruct(mx, my, predY[:], predCb[:], predCr[:], qp)
 		if fd.record && fd.curRec != nil {
@@ -419,31 +419,17 @@ func (fd *frameDecoder) decodeQP(mx, my, mbIdx int) int {
 }
 
 func (fd *frameDecoder) reconstructSkip(mx, my int, refF *frame.Frame, mv predict.MV) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	var buf [256]uint8
-	fd.compensate(buf[:], refF, px, py, 16, 16, mv)
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			fd.rec.SetLuma(px+x, py+y, buf[y*16+x])
-		}
-	}
-	rects := []predict.Rect{{X: 0, Y: 0, W: 16, H: 16}}
+	var predY [256]uint8
+	fd.compensate(predY[:], refF, mx*frame.MBSize, my*frame.MBSize, 16, 16, mv)
+	putBlock(fd.rec.Y, fd.rec.W, mx*frame.MBSize, my*frame.MBSize, 16, 16, predY[:])
 	var predCb, predCr [64]uint8
-	chromaInterPredict(predCb[:], predCr[:], refF, mx, my, rects, []predict.MV{mv}, fd.mvDiv())
-	cx0, cy0 := mx*8, my*8
-	cw, ch := fd.rec.W/2, fd.rec.H/2
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			if cx0+x < cw && cy0+y < ch {
-				fd.rec.Cb[(cy0+y)*cw+cx0+x] = predCb[y*8+x]
-				fd.rec.Cr[(cy0+y)*cw+cx0+x] = predCr[y*8+x]
-			}
-		}
-	}
+	mvs := [1]predict.MV{mv}
+	chromaInterPredict(predCb[:], predCr[:], refF, mx, my, predict.PartitionRects(predict.Part16x16), mvs[:], fd.mvDiv())
+	putBlock(fd.rec.Cb, fd.rec.W/2, mx*8, my*8, 8, 8, predCb[:])
+	putBlock(fd.rec.Cr, fd.rec.W/2, mx*8, my*8, 8, 8, predCr[:])
 }
 
 func (fd *frameDecoder) decodeResidualAndReconstruct(mx, my int, predY, predCb, predCr []uint8, qp int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
 	hasResidual := fd.sr.GetFlag(entropy.ClassCBP)
 	var levels [16]transform.Block
 	var chromaLevels [8]transform.Block
@@ -455,79 +441,22 @@ func (fd *frameDecoder) decodeResidualAndReconstruct(mx, my int, predY, predCb, 
 			chromaLevels[b] = readResidualBlock(fd.sr)
 		}
 	}
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			recon := transform.Reconstruct(&levels[by*4+bx], qp)
-			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					ox, oy := bx*4+x, by*4+y
-					fd.rec.SetLuma(px+ox, py+oy, frame.ClampU8(int(predY[oy*16+ox])+int(recon[y*4+x])))
-				}
-			}
-		}
-	}
-	cx0, cy0 := mx*8, my*8
-	cw, ch := fd.rec.W/2, fd.rec.H/2
-	for plane := 0; plane < 2; plane++ {
-		dst, prd := fd.rec.Cb, predCb
-		if plane == 1 {
-			dst, prd = fd.rec.Cr, predCr
-		}
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				recon := transform.Reconstruct(&chromaLevels[plane*4+by*2+bx], qp)
-				for y := 0; y < 4; y++ {
-					for x := 0; x < 4; x++ {
-						sx, sy := cx0+bx*4+x, cy0+by*4+y
-						if sx < cw && sy < ch {
-							i := (by*4+y)*8 + bx*4 + x
-							dst[sy*cw+sx] = frame.ClampU8(int(prd[i]) + int(recon[y*4+x]))
-						}
-					}
-				}
-			}
-		}
-	}
+	reconstructMB(fd.rec, mx, my, predY, predCb, predCr, &levels, &chromaLevels, qp)
 }
 
 // concealMB fills a macroblock by copying the co-located content from the
 // forward reference frame, or mid-gray when none exists — standard temporal
-// error concealment.
+// error concealment. The co-located copy is a zero-vector skip.
 func (fd *frameDecoder) concealMB(mx, my int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	refF := fd.refFrame(fd.ef.RefFwd)
-	if refF == nil {
-		for y := 0; y < 16; y++ {
-			for x := 0; x < 16; x++ {
-				fd.rec.SetLuma(px+x, py+y, 128)
-			}
-		}
-		cw, ch := fd.rec.W/2, fd.rec.H/2
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				cx, cy := mx*8+x, my*8+y
-				if cx < cw && cy < ch {
-					fd.rec.Cb[cy*cw+cx] = 128
-					fd.rec.Cr[cy*cw+cx] = 128
-				}
-			}
-		}
+	if refF := fd.refFrame(fd.ef.RefFwd); refF != nil {
+		fd.reconstructSkip(mx, my, refF, predict.MV{})
 		return
 	}
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			fd.rec.SetLuma(px+x, py+y, refF.LumaAt(px+x, py+y))
-		}
+	var gray [256]uint8
+	for i := range gray {
+		gray[i] = 128
 	}
-	cw, ch := fd.rec.W/2, fd.rec.H/2
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			cx, cy := mx*8+x, my*8+y
-			if cx < cw && cy < ch {
-				cb, cr := refF.ChromaAt(cx, cy)
-				fd.rec.Cb[cy*cw+cx] = cb
-				fd.rec.Cr[cy*cw+cx] = cr
-			}
-		}
-	}
+	putBlock(fd.rec.Y, fd.rec.W, mx*frame.MBSize, my*frame.MBSize, 16, 16, gray[:])
+	putBlock(fd.rec.Cb, fd.rec.W/2, mx*8, my*8, 8, 8, gray[:64])
+	putBlock(fd.rec.Cr, fd.rec.W/2, mx*8, my*8, 8, 8, gray[:64])
 }

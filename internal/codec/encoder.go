@@ -471,7 +471,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 		skipQP := qpPrediction(fe.qps, mx, my, mbCols, fe.ef.BaseQP, fe.sliceTop)
 		fe.qps[mbIdx] = skipQP
 		rec.QP = skipQP
-		fe.reconstructInter(mx, my, predY[:], predCb[:], predCr[:], levels, chromaLevels, skipQP)
+		reconstructMB(fe.rec, mx, my, predY[:], predCb[:], predCr[:], &levels, &chromaLevels, skipQP)
 		fe.mvRep[mbIdx] = predMV
 		fe.mvAvail[mbIdx] = true
 		return
@@ -517,7 +517,7 @@ func (fe *frameEncoder) codeInterMB(rec *MBRecord, mx, my int, cand *interCandid
 			writeResidualBlock(fe.sw, &chromaLevels[b])
 		}
 	}
-	fe.reconstructInter(mx, my, predY[:], predCb[:], predCr[:], levels, chromaLevels, qp)
+	reconstructMB(fe.rec, mx, my, predY[:], predCb[:], predCr[:], &levels, &chromaLevels, qp)
 	fe.mvRep[mbIdx] = firstMV(cand)
 	fe.mvAvail[mbIdx] = true
 }
@@ -609,49 +609,6 @@ func clampi(v, n int) int {
 	return v
 }
 
-// reconstructInter reconstructs the macroblock into fe.rec from predictions
-// plus dequantized residuals, exactly as the decoder will.
-func (fe *frameEncoder) reconstructInter(mx, my int, predY, predCb, predCr []uint8, levels [16]transform.Block, chromaLevels [8]transform.Block, qp int) {
-	px, py := mx*frame.MBSize, my*frame.MBSize
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			recon := transform.Reconstruct(&levels[by*4+bx], qp)
-			for y := 0; y < 4; y++ {
-				for x := 0; x < 4; x++ {
-					ox, oy := bx*4+x, by*4+y
-					fe.rec.SetLuma(px+ox, py+oy, frame.ClampU8(int(predY[oy*16+ox])+int(recon[y*4+x])))
-				}
-			}
-		}
-	}
-	fe.reconstructChroma(mx, my, predCb, predCr, chromaLevels, qp)
-}
-
-func (fe *frameEncoder) reconstructChroma(mx, my int, predCb, predCr []uint8, levels [8]transform.Block, qp int) {
-	cx0, cy0 := mx*8, my*8
-	cw, ch := fe.rec.W/2, fe.rec.H/2
-	for plane := 0; plane < 2; plane++ {
-		dst, prd := fe.rec.Cb, predCb
-		if plane == 1 {
-			dst, prd = fe.rec.Cr, predCr
-		}
-		for by := 0; by < 2; by++ {
-			for bx := 0; bx < 2; bx++ {
-				recon := transform.Reconstruct(&levels[plane*4+by*2+bx], qp)
-				for y := 0; y < 4; y++ {
-					for x := 0; x < 4; x++ {
-						sx, sy := cx0+bx*4+x, cy0+by*4+y
-						if sx < cw && sy < ch {
-							i := (by*4+y)*8 + bx*4 + x
-							dst[sy*cw+sx] = frame.ClampU8(int(prd[i]) + int(recon[y*4+x]))
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // codeResidualAndReconstruct codes the full residual of an (intra) MB and
 // reconstructs it, sharing the CBP-flag convention with inter MBs.
 func (fe *frameEncoder) codeResidualAndReconstruct(mx, my int, predY, predCb, predCr []uint8, qp int, intra bool) {
@@ -668,5 +625,5 @@ func (fe *frameEncoder) codeResidualAndReconstruct(mx, my int, predY, predCb, pr
 			writeResidualBlock(fe.sw, &chromaLevels[b])
 		}
 	}
-	fe.reconstructInter(mx, my, predY, predCb, predCr, levels, chromaLevels, qp)
+	reconstructMB(fe.rec, mx, my, predY, predCb, predCr, &levels, &chromaLevels, qp)
 }

@@ -133,17 +133,11 @@ func applyEnhFrame(baseRec *frame.Frame, payload []byte, ef *EncodedFrame, p Par
 			}
 			qp := transform.ClampQP(mbQP - delta)
 			px, py := mx*frame.MBSize, my*frame.MBSize
-			for by := 0; by < 4; by++ {
-				for bx := 0; bx < 4; bx++ {
-					lv := readResidualBlock(sr)
-					recon := transform.Reconstruct(&lv, qp)
-					for y := 0; y < 4; y++ {
-						for x := 0; x < 4; x++ {
-							ox, oy := px+bx*4+x, py+by*4+y
-							rec.SetLuma(ox, oy, frame.ClampU8(int(rec.LumaAt(ox, oy))+int(recon[y*4+x])))
-						}
-					}
-				}
+			for b := 0; b < 16; b++ {
+				lv := readResidualBlock(sr)
+				// The refinement adds onto the base picture in place.
+				blk := rec.Y[(py+b/4*4)*rec.W+px+b%4*4:]
+				reconstructBlock(blk, rec.W, blk, rec.W, &lv, qp)
 			}
 		}
 	}

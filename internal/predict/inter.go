@@ -92,43 +92,34 @@ const NumPartShapes = int(numPartShapes)
 type Rect struct{ X, Y, W, H int }
 
 // PartitionRects returns the compensation units of a shape. All shapes tile
-// the full 16×16 block.
+// the full 16×16 block. The returned slice is shared by every caller and
+// built once; callers must not modify it.
 func PartitionRects(s PartitionShape) []Rect {
-	switch s {
-	case Part16x8:
-		return []Rect{{0, 0, 16, 8}, {0, 8, 16, 8}}
-	case Part8x16:
-		return []Rect{{0, 0, 8, 16}, {8, 0, 8, 16}}
-	case Part8x8:
-		return []Rect{{0, 0, 8, 8}, {8, 0, 8, 8}, {0, 8, 8, 8}, {8, 8, 8, 8}}
-	case Part8x4:
-		rects := make([]Rect, 0, 8)
-		for y := 0; y < 16; y += 4 {
-			for x := 0; x < 16; x += 8 {
-				rects = append(rects, Rect{x, y, 8, 4})
-			}
-		}
-		return rects
-	case Part4x8:
-		rects := make([]Rect, 0, 8)
-		for y := 0; y < 16; y += 8 {
-			for x := 0; x < 16; x += 4 {
-				rects = append(rects, Rect{x, y, 4, 8})
-			}
-		}
-		return rects
-	case Part4x4:
-		rects := make([]Rect, 0, 16)
-		for y := 0; y < 16; y += 4 {
-			for x := 0; x < 16; x += 4 {
-				rects = append(rects, Rect{x, y, 4, 4})
-			}
-		}
-		return rects
-	default:
-		return []Rect{{0, 0, 16, 16}}
+	if s < 0 || s >= numPartShapes {
+		s = Part16x16
 	}
+	return partitionRects[s]
 }
+
+var partitionRects = func() (out [numPartShapes][]Rect) {
+	grid := func(w, h int) []Rect {
+		rects := make([]Rect, 0, 256/(w*h))
+		for y := 0; y < 16; y += h {
+			for x := 0; x < 16; x += w {
+				rects = append(rects, Rect{x, y, w, h})
+			}
+		}
+		return rects
+	}
+	out[Part16x16] = grid(16, 16)
+	out[Part16x8] = grid(16, 8)
+	out[Part8x16] = grid(8, 16)
+	out[Part8x8] = grid(8, 8)
+	out[Part8x4] = grid(8, 4)
+	out[Part4x8] = grid(4, 8)
+	out[Part4x4] = grid(4, 4)
+	return out
+}()
 
 // SAD computes the sum of absolute differences between the cur rectangle at
 // (cx, cy) and the ref rectangle displaced by mv, with edge clamping.
@@ -197,8 +188,17 @@ func abs16(v int16) int16 {
 
 // Compensate writes the motion-compensated luma prediction for the rectangle
 // at absolute position (cx, cy) of size w×h into dst (row-major w×h),
-// reading ref displaced by mv with edge clamping.
+// reading ref displaced by mv with edge clamping. A displaced rectangle
+// that lies inside ref is copied row by row; clamping is the identity there.
 func Compensate(dst []uint8, ref *frame.Frame, cx, cy, w, h int, mv MV) {
+	rx, ry := cx+int(mv.X), cy+int(mv.Y)
+	if rx >= 0 && ry >= 0 && rx+w <= ref.W && ry+h <= ref.H {
+		for y := 0; y < h; y++ {
+			o := (ry+y)*ref.W + rx
+			copy(dst[y*w:(y+1)*w], ref.Y[o:o+w])
+		}
+		return
+	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			dst[y*w+x] = ref.LumaAt(cx+x+int(mv.X), cy+y+int(mv.Y))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 
 	"videoapp/internal/cache"
 	"videoapp/internal/codec"
+	"videoapp/internal/frame"
 	"videoapp/internal/obs"
 	"videoapp/internal/store"
 	"videoapp/internal/y4m"
@@ -699,10 +701,23 @@ func (c *Catalog) materialize(ctx context.Context, t *tenant, a *store.ChunkArch
 	}
 	var buf bytes.Buffer
 	buf.Grow(seqSize(len(seq.Frames), cr.Video.W, cr.Video.H))
-	if err := y4m.Write(&buf, seq); err != nil {
+	err = y4m.Write(&buf, seq)
+	recycleFrames(seq.Frames)
+	if err != nil {
 		return chunkPayload{}, err
 	}
 	return chunkPayload{data: buf.Bytes(), degraded: cr.Degraded}, nil
+}
+
+// recycleFrames returns decoded frames to the frame pool once their pixels
+// are rendered, so the next cold chunk decodes into them. Each distinct
+// frame goes back once, even if the sequence lists it more than once.
+func recycleFrames(frames []*frame.Frame) {
+	for i, f := range frames {
+		if !slices.Contains(frames[:i], f) {
+			frame.Recycle(f)
+		}
+	}
 }
 
 func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) error {

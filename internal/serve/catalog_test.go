@@ -308,15 +308,20 @@ func TestCatalogIdleClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	ts := httptest.NewServer(cat.Handler())
-	defer ts.Close()
+	// ServeHTTP returns only after the handler's deferred release has
+	// dropped the tenant reference; a client over a socket can finish
+	// reading the body first, and CloseIdle would then see a live reader.
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		cat.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/archives/m/chunks/0", nil))
+		return rec
+	}
 
 	if got := cat.OpenArchives(); got != 0 {
 		t.Fatalf("OpenArchives = %d before any request, want 0 (lazy open)", got)
 	}
-	status, body, _ := fetch(t, ts.Client(), ts.URL+"/v1/archives/m/chunks/0")
-	if status != http.StatusOK {
-		t.Fatalf("first read: status %d: %s", status, body)
+	if rec := get(); rec.Code != http.StatusOK {
+		t.Fatalf("first read: status %d: %s", rec.Code, rec.Body)
 	}
 	if got := cat.OpenArchives(); got != 1 {
 		t.Fatalf("OpenArchives = %d after request, want 1", got)
@@ -340,9 +345,8 @@ func TestCatalogIdleClose(t *testing.T) {
 	// The next request reopens transparently — and decodes again: the new
 	// generation gets a fresh cache namespace, so nothing cached before the
 	// close can leak into the reopened archive.
-	status, _, _ = fetch(t, ts.Client(), ts.URL+"/v1/archives/m/chunks/0")
-	if status != http.StatusOK {
-		t.Fatalf("post-reopen read: status %d", status)
+	if rec := get(); rec.Code != http.StatusOK {
+		t.Fatalf("post-reopen read: status %d", rec.Code)
 	}
 	if got := cat.OpenArchives(); got != 1 {
 		t.Fatalf("OpenArchives = %d after reopen, want 1", got)

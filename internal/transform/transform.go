@@ -30,6 +30,23 @@ var (
 	}
 )
 
+// Per-QP scale tables, built once at init: quantScale[qp][i] is the MF of
+// coefficient i and dequantScale[qp][i] its rescale factor V<<(qp/6). The
+// pre-shifted product is exact: z·(V<<s) equals (z·V)<<s in wrapping int32
+// arithmetic, so corrupt levels overflow exactly as before.
+var quantScale, dequantScale = buildScaleTables()
+
+func buildScaleTables() (q, dq [MaxQP + 1][16]int32) {
+	for qp := range q {
+		for i := range q[qp] {
+			c := posClass(i)
+			q[qp][i] = mfTable[qp%6][c]
+			dq[qp][i] = vTable[qp%6][c] << uint(qp/6)
+		}
+	}
+	return q, dq
+}
+
 func posClass(i int) int {
 	r, c := i/4, i%4
 	switch {
@@ -72,7 +89,7 @@ func Forward(x *Block) Block {
 // (0..51). intra selects the larger dead-zone rounding offset.
 func Quantize(y *Block, qp int, intra bool) Block {
 	qp = clampQP(qp)
-	mf := mfTable[qp%6]
+	mf := &quantScale[qp]
 	qbits := uint(15 + qp/6)
 	f := int64(1) << qbits / 6
 	if intra {
@@ -80,7 +97,7 @@ func Quantize(y *Block, qp int, intra bool) Block {
 	}
 	var z Block
 	for i := range y {
-		m := int64(mf[posClass(i)])
+		m := int64(mf[i])
 		v := int64(y[i])
 		neg := v < 0
 		if neg {
@@ -97,12 +114,10 @@ func Quantize(y *Block, qp int, intra bool) Block {
 
 // Dequantize rescales quantized levels back to transform-domain values.
 func Dequantize(z *Block, qp int) Block {
-	qp = clampQP(qp)
-	v := vTable[qp%6]
-	shift := uint(qp / 6)
+	s := &dequantScale[clampQP(qp)]
 	var w Block
 	for i := range z {
-		w[i] = z[i] * v[posClass(i)] << shift
+		w[i] = z[i] * s[i]
 	}
 	return w
 }
@@ -154,8 +169,27 @@ func QuantizeOnly(x *Block, qp int, intra bool) Block {
 
 // Reconstruct dequantizes levels and applies the inverse transform.
 func Reconstruct(z *Block, qp int) Block {
+	var x Block
+	ReconstructInto(&x, z, qp)
+	return x
+}
+
+// ReconstructInto writes Reconstruct(z, qp) into dst and reports whether any
+// level was non-zero. An all-zero block skips dequantization and the inverse
+// transform: every intermediate is zero and (0+32)>>6 == 0, so the result
+// is the zero block exactly.
+func ReconstructInto(dst, z *Block, qp int) bool {
+	var nz int32
+	for _, v := range z {
+		nz |= v
+	}
+	if nz == 0 {
+		*dst = Block{}
+		return false
+	}
 	w := Dequantize(z, qp)
-	return Inverse(&w)
+	*dst = Inverse(&w)
+	return true
 }
 
 // MaxQP is the largest legal quantization parameter.
